@@ -57,7 +57,7 @@ def test_ablation_rtscts_fairness(benchmark, report_file):
         "Our frame-count fairness index dips only slightly below 1 (no\n"
         "hidden-terminal loss among co-located stations in the model), but\n"
         "the airtime cost per delivered frame shows the structural penalty\n"
-        "the handshake users pay (see EXPERIMENTS.md deviation note).\n"
+        "the handshake users pay.\n"
     )
     report_file(text)
 

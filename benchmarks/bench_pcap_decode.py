@@ -1,14 +1,21 @@
-"""pcap ingest micro-benchmark: vectorized decode vs the scalar codecs.
+"""Capture codec gate: columnar vs scalar, both directions, all containers.
 
-Generates a realistic simulated capture, reads it back twice — once
-through the legacy per-record scalar path (struct unpack + codec per
-frame, the behavioural reference kept as
-:func:`repro.pcap.pcapio._decode_record_scalar`) and once through the
-production numpy batch decoder — then verifies the two reads are
-**byte-identical** across every trace column and reports the speedup.
+Generates a realistic simulated capture and, for each of ``.pcap``,
+``.pcap.gz``, ``.snoop`` and ``.snoop.gz``:
 
-Exits non-zero if the vectorized path is not strictly faster or the
-outputs differ, so CI can run this as a gate::
+* **write** — the production columnar writer (:func:`write_trace`)
+  against the per-row reference writer (one
+  :func:`repro.pcap.pcapio._encode_packet` call plus one ``struct``
+  record header per ``Trace.iter_rows()`` row).  The files must be
+  **byte-identical**.
+* **read** — the production batched reader (:func:`read_trace`) against
+  the scalar walk (record scan plus
+  :func:`repro.pcap.pcapio._decode_record_scalar` per record, the
+  behavioural reference).  The traces must be **identical** in every
+  column.
+
+Exits non-zero if any pair differs or any production path is not
+strictly faster, so CI can run this as a gate::
 
     python benchmarks/bench_pcap_decode.py
     python benchmarks/bench_pcap_decode.py --frames 50000 --repeats 5
@@ -17,6 +24,9 @@ outputs differ, so CI can run this as a gate::
 from __future__ import annotations
 
 import argparse
+import gzip
+import io
+import struct
 import sys
 import tempfile
 import time
@@ -27,18 +37,23 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.corpus.snoop import _SNOOP  # noqa: E402
 from repro.frames import TRACE_COLUMNS, Trace  # noqa: E402
-from repro.pcap import read_trace, write_trace  # noqa: E402
+from repro.pcap import PAPER_SNAPLEN, read_trace, write_trace  # noqa: E402
 from repro.pcap.pcapio import (  # noqa: E402
+    _PCAP,
     _RowBuffer,
     _decode_record_scalar,
+    _encode_packet,
     _scan_records,
 )
 from repro.sim import build_scenario  # noqa: E402
 
+CONTAINERS = (".pcap", ".pcap.gz", ".snoop", ".snoop.gz")
 
-def make_capture(path: Path, min_frames: int) -> int:
-    """Simulate until at least ``min_frames`` are on disk."""
+
+def make_trace(min_frames: int) -> Trace:
+    """Simulate until at least ``min_frames`` frames are captured."""
     traces = []
     total = 0
     seed = 7
@@ -54,32 +69,76 @@ def make_capture(path: Path, min_frames: int) -> int:
         traces.append(trace)
         total += len(trace)
         seed += 1
-    merged = Trace.concatenate(traces) if len(traces) > 1 else traces[0]
-    return write_trace(merged, path)
+    return Trace.concatenate(traces) if len(traces) > 1 else traces[0]
+
+
+def write_scalar(trace: Trace, path: Path) -> None:
+    """The per-row writer: one packet encode and record header per row."""
+    snoop = ".snoop" in path.name
+    out = io.BytesIO()
+    if snoop:
+        out.write(struct.pack(">8sLL", b"snoop\x00\x00\x00", 2, 127))
+    else:
+        out.write(
+            struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, PAPER_SNAPLEN, 127)
+        )
+    for row in trace.iter_rows():
+        packet = _encode_packet(row, True)
+        incl = packet[:PAPER_SNAPLEN]
+        ts_sec, ts_usec = divmod(row.time_us, 1_000_000)
+        if snoop:
+            pad = -len(incl) % 4
+            out.write(
+                struct.pack(
+                    ">LLLLLL",
+                    len(packet),
+                    len(incl),
+                    24 + len(incl) + pad,
+                    0,
+                    ts_sec,
+                    ts_usec,
+                )
+            )
+            out.write(incl + b"\0" * pad)
+        else:
+            out.write(struct.pack("<IIII", ts_sec, ts_usec, len(incl), len(packet)))
+            out.write(incl)
+    data = out.getvalue()
+    with path.open("wb") as raw:
+        if path.name.endswith(".gz"):
+            with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as fp:
+                fp.write(data)
+        else:
+            raw.write(data)
 
 
 def read_scalar(path: Path) -> Trace:
-    """The pre-vectorization reader: one struct/codec pass per record."""
-    raw = path.read_bytes()[24:]
-    offsets, consumed = _scan_records(raw)
-    assert consumed == len(raw), "benchmark capture must be clean"
+    """The scalar walk: record scan plus one codec decode per record."""
+    raw = path.read_bytes()
+    if path.name.endswith(".gz"):
+        raw = gzip.decompress(raw)
+    fmt = _SNOOP if ".snoop" in path.name else _PCAP
+    start = fmt.file_header_size
+    offsets, consumed = _scan_records(raw[start:], fmt)
+    assert start + consumed == len(raw), "benchmark capture must be clean"
     rows = _RowBuffer()
     for offset in offsets:
         rows.append_row(
-            _decode_record_scalar(raw, offset, 24 + offset, len(rows), path)
+            _decode_record_scalar(
+                raw, start + offset, start + offset, len(rows), path, False, fmt
+            )
         )
     return rows.flush()
 
 
-def bench(fn, path: Path, repeats: int) -> tuple[float, Trace]:
+def best_of(repeats: int, fn, *args) -> float:
     best = None
-    result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = fn(path)
+        fn(*args)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    return best, result
+    return best
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,33 +147,46 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
+    trace = make_trace(args.frames)
+    n = len(trace)
+    print(f"capture: {n} frames, snap length {PAPER_SNAPLEN}")
+    print(
+        f"{'container':<10} {'op':<5} {'scalar ms':>10} {'columnar ms':>12} "
+        f"{'speedup':>8}  identical"
+    )
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bench.pcap"
-        n = make_capture(path, args.frames)
-        size_mb = path.stat().st_size / 1e6
-        print(f"capture: {n} frames, {size_mb:.1f} MB")
+        for suffix in CONTAINERS:
+            scalar_path = Path(tmp) / f"scalar{suffix}"
+            columnar_path = Path(tmp) / f"columnar{suffix}"
+            scalar_w = best_of(args.repeats, write_scalar, trace, scalar_path)
+            columnar_w = best_of(args.repeats, write_trace, trace, columnar_path)
+            same_bytes = scalar_path.read_bytes() == columnar_path.read_bytes()
 
-        scalar_s, scalar_trace = bench(read_scalar, path, args.repeats)
-        vector_s, vector_trace = bench(read_trace, path, args.repeats)
+            scalar_r = best_of(args.repeats, read_scalar, columnar_path)
+            vector_r = best_of(args.repeats, read_trace, columnar_path)
+            a, b = read_scalar(columnar_path), read_trace(columnar_path)
+            same_fields = all(
+                a.column(c).dtype == b.column(c).dtype
+                and np.array_equal(a.column(c), b.column(c))
+                for c in TRACE_COLUMNS
+            )
 
-    for name in TRACE_COLUMNS:
-        a, b = scalar_trace.column(name), vector_trace.column(name)
-        if a.dtype != b.dtype or not np.array_equal(a, b):
-            print(f"MISMATCH in column {name!r}", file=sys.stderr)
-            return 1
-
-    speedup = scalar_s / vector_s
-    print(
-        f"scalar : {scalar_s * 1e3:8.1f} ms  ({n / scalar_s:>12,.0f} frames/s)"
-    )
-    print(
-        f"vector : {vector_s * 1e3:8.1f} ms  ({n / vector_s:>12,.0f} frames/s)"
-    )
-    print(f"speedup: {speedup:.1f}x, outputs byte-identical")
-    if speedup <= 1.0:
-        print("vectorized decode is not faster", file=sys.stderr)
-        return 1
-    return 0
+            for op, slow, fast, same in (
+                ("write", scalar_w, columnar_w, same_bytes),
+                ("read", scalar_r, vector_r, same_fields),
+            ):
+                print(
+                    f"{suffix:<10} {op:<5} {slow * 1e3:>10.1f} {fast * 1e3:>12.1f} "
+                    f"{slow / fast:>7.1f}x  {'yes' if same else 'NO'}"
+                )
+                if not same:
+                    failures.append(f"{suffix} {op}: outputs differ")
+                if fast >= slow:
+                    failures.append(f"{suffix} {op}: columnar path is not faster")
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

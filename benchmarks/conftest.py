@@ -27,8 +27,7 @@ from repro.sim import (
     run_scenario,
 )
 
-#: Simulated durations; scaled from the paper's multi-hour sessions
-#: (see EXPERIMENTS.md for the scale substitution).
+#: Simulated durations, scaled down from the paper's multi-hour sessions.
 RAMP_DURATION_S = 200.0
 SESSION_DURATION_S = 60.0
 

@@ -84,13 +84,25 @@ def _cell_deadline(timeout_s: float | None):
         yield
         return
 
+    message = f"cell exceeded timeout_s={timeout_s:g}"
+    expired = []
+
     def _expired(signum, frame):
-        raise Timeout(f"cell exceeded timeout_s={timeout_s:g}")
+        expired.append(True)
+        raise Timeout(message)
 
     previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
+    # The alarm can land inside library code that swallows the exception
+    # or converts it (numpy's structured-array comparison re-raises it as
+    # a TypeError): re-fire every ``timeout_s``, and report any error
+    # raised after expiry as the Timeout it is.
+    signal.setitimer(signal.ITIMER_REAL, timeout_s, timeout_s)
     try:
         yield
+    except Exception as error:
+        if expired and not isinstance(error, Timeout):
+            raise Timeout(message) from error
+        raise
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)

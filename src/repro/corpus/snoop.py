@@ -3,9 +3,9 @@
 The second capture container the corpus understands (Solaris ``snoop``,
 the other format wireless captures of the paper's era shipped in).
 Produces and consumes the exact same :class:`repro.frames.Trace` schema
-as :mod:`repro.pcap.pcapio` by sharing its packet codecs — a trace
-written as snoop and read back is field-identical to the pcap round
-trip.
+as :mod:`repro.pcap.pcapio` by sharing its columnar record codec (this
+module adds only the file and record headers) — a trace written as
+snoop and read back is field-identical to the pcap round trip.
 
 Layout (all integers big-endian, RFC 1761 §2):
 
@@ -31,24 +31,19 @@ been yielded.
 from __future__ import annotations
 
 import enum
-import gzip
 import struct
 from pathlib import Path
-from typing import BinaryIO
 
-import numpy as np
-
-from ..frames import TRACE_COLUMNS, Trace
+from ..frames import Trace
 from ..pcap.pcapio import (
     _CHUNK_BYTES,
     _GZIP_MAGIC,
-    CODEC_ERRORS,
     PAPER_SNAPLEN,
     TruncatedPcapError,
-    _decode_packet_parts,
-    _encode_packet,
-    _row_from_packet,
-    _RowBuffer,
+    _collect,
+    _Container,
+    _read_capture,
+    _write_capture,
 )
 
 __all__ = [
@@ -91,7 +86,6 @@ class SnoopDatalinkType(enum.IntEnum):
 
 
 _FILE_HEADER = struct.Struct(">8sLL")
-_RECORD_HEADER = struct.Struct(">LLLLLL")
 
 
 class TruncatedSnoopError(TruncatedPcapError):
@@ -103,34 +97,31 @@ class TruncatedSnoopError(TruncatedPcapError):
     """
 
 
-def _write_snoop_stream(
-    fp: BinaryIO, trace: Trace, snaplen: int, duration_fill: bool
-) -> int:
-    fp.write(
-        _FILE_HEADER.pack(
-            SNOOP_IDENT,
-            SNOOP_VERSION,
-            int(SnoopDatalinkType.IEEE_802_11_RADIOTAP),
+def _check_file_header(path: Path, header: bytes) -> None:
+    if len(header) < _FILE_HEADER.size:
+        raise ValueError(f"{path}: not a snoop file (too short)")
+    ident, version, datalink = _FILE_HEADER.unpack(header)
+    if ident != SNOOP_IDENT:
+        raise ValueError(f"{path}: bad snoop ident {ident!r}")
+    if version != SNOOP_VERSION:
+        raise ValueError(
+            f"{path}: snoop version {version}, expected {SNOOP_VERSION}"
         )
-    )
-    for row in trace.iter_rows():
-        packet = _encode_packet(row, duration_fill)
-        incl = packet[:snaplen]
-        pad = -len(incl) % 4
-        ts_sec, ts_usec = divmod(row.time_us, 1_000_000)
-        fp.write(
-            _RECORD_HEADER.pack(
-                len(packet),
-                len(incl),
-                _RECORD_HEADER.size + len(incl) + pad,
-                0,
-                ts_sec,
-                ts_usec,
-            )
+    if datalink != SnoopDatalinkType.IEEE_802_11_RADIOTAP:
+        raise ValueError(
+            f"{path}: snoop datalink {datalink}, expected radiotap "
+            f"({int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)})"
         )
-        fp.write(incl)
-        fp.write(b"\0" * pad)
-    return len(trace)
+
+
+_SNOOP = _Container(
+    ">LLLLLL",
+    ("orig", "incl", "rec_len", "drops", "ts_sec", "ts_usec"),
+    file_header_size=_FILE_HEADER.size,
+    check_file_header=_check_file_header,
+    error=TruncatedSnoopError,
+    align=4,
+)
 
 
 def write_snoop(
@@ -145,16 +136,12 @@ def write_snoop(
     ``snaplen``/``duration_fill`` behave as in
     :func:`repro.pcap.write_trace`.
     """
-    path = Path(path)
-    if path.name.lower().endswith(".gz"):
-        # Deterministic member header (no path, no clock) — see
-        # the matching write in repro.pcap.write_trace.
-        with path.open("wb") as raw, gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb", mtime=0
-        ) as fp:
-            return _write_snoop_stream(fp, trace, snaplen, duration_fill)
-    with path.open("wb") as fp:
-        return _write_snoop_stream(fp, trace, snaplen, duration_fill)
+    header = _FILE_HEADER.pack(
+        SNOOP_IDENT, SNOOP_VERSION, int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)
+    )
+    return _write_capture(
+        Path(path), header, trace, snaplen, duration_fill, _SNOOP
+    )
 
 
 def read_snoop_batches(
@@ -162,147 +149,21 @@ def read_snoop_batches(
 ):
     """Incrementally read a snoop capture as bounded-size Traces.
 
-    Mirrors :func:`repro.pcap.read_trace_batches`: slab reads keep
-    memory bounded, gzip input is detected by magic and streamed, and
-    damage raises :class:`TruncatedSnoopError` only after the clean
-    prefix has been yielded.  Offsets in errors are into the
-    decompressed stream for ``.gz`` input.
+    Mirrors :func:`repro.pcap.read_trace_batches` — it is the same slab
+    loop over a different record header: slab reads keep memory
+    bounded, gzip input is detected by magic and streamed, and damage
+    raises :class:`TruncatedSnoopError` only after the clean prefix has
+    been yielded.  Offsets in errors are into the decompressed stream
+    for ``.gz`` input.
     """
     if batch_frames <= 0:
         raise ValueError("batch_frames must be positive")
     path = Path(path)
     with path.open("rb") as fp:
         compressed = fp.read(2) == _GZIP_MAGIC
-    with (gzip.open(path, "rb") if compressed else path.open("rb")) as fp:
-        try:
-            header = fp.read(_FILE_HEADER.size)
-        except (EOFError, OSError) as error:
-            raise TruncatedSnoopError(
-                f"{path}: corrupt gzip stream "
-                f"({type(error).__name__}: {error})",
-                byte_offset=0,
-                frames_read=0,
-                compressed=True,
-            ) from error
-        if len(header) < _FILE_HEADER.size:
-            raise ValueError(f"{path}: not a snoop file (too short)")
-        ident, version, datalink = _FILE_HEADER.unpack(header)
-        if ident != SNOOP_IDENT:
-            raise ValueError(f"{path}: bad snoop ident {ident!r}")
-        if version != SNOOP_VERSION:
-            raise ValueError(
-                f"{path}: snoop version {version}, "
-                f"expected {SNOOP_VERSION}"
-            )
-        if datalink != SnoopDatalinkType.IEEE_802_11_RADIOTAP:
-            raise ValueError(
-                f"{path}: snoop datalink {datalink}, expected radiotap "
-                f"({int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)})"
-            )
-
-        rows = _RowBuffer()
-        base = _FILE_HEADER.size  # absolute (decompressed) offset of buf[0]
-        buf = b""
-        frames_read = 0
-        eof = False
-        while not eof:
-            try:
-                data = fp.read(_CHUNK_BYTES)
-            except (EOFError, OSError) as error:
-                if not compressed:
-                    raise
-                if len(rows):
-                    yield rows.flush()
-                raise TruncatedSnoopError(
-                    f"{path}: corrupt gzip stream "
-                    f"({type(error).__name__}: {error})",
-                    byte_offset=base + len(buf),
-                    frames_read=frames_read,
-                    compressed=True,
-                ) from error
-            if not data:
-                eof = True
-            else:
-                buf = buf + data if buf else data
-            pos = 0
-            limit = len(buf)
-            while pos + _RECORD_HEADER.size <= limit:
-                orig_len, incl_len, rec_len, _drops, ts_sec, ts_usec = (
-                    _RECORD_HEADER.unpack_from(buf, pos)
-                )
-                if rec_len < _RECORD_HEADER.size + incl_len:
-                    if len(rows):
-                        yield rows.flush()
-                    raise TruncatedSnoopError(
-                        f"{path}: invalid record length {rec_len} "
-                        f"(included length {incl_len})",
-                        byte_offset=base + pos,
-                        frames_read=frames_read,
-                        compressed=compressed,
-                    )
-                if pos + rec_len > limit:
-                    break  # record longer than the slab: read more / EOF
-                start = pos + _RECORD_HEADER.size
-                packet = buf[start : start + incl_len]
-                try:
-                    radiotap, rt_len, frame = _decode_packet_parts(packet)
-                except CODEC_ERRORS as error:
-                    if len(rows):
-                        yield rows.flush()
-                    raise TruncatedSnoopError(
-                        f"{path}: undecodable record "
-                        f"({type(error).__name__}: {error})",
-                        byte_offset=base + pos,
-                        frames_read=frames_read,
-                        compressed=compressed,
-                    ) from error
-                rows.append_row(
-                    _row_from_packet(
-                        radiotap,
-                        rt_len,
-                        frame,
-                        orig_len,
-                        ts_sec * 1_000_000 + ts_usec,
-                    )
-                )
-                frames_read += 1
-                if len(rows) >= batch_frames:
-                    yield rows.take(batch_frames)
-                pos += rec_len
-            buf = buf[pos:]
-            base += pos
-        if buf:
-            # Damage found: flush the clean prefix first so streaming
-            # callers keep every frame read so far.
-            if len(rows):
-                yield rows.flush()
-            if len(buf) < _RECORD_HEADER.size:
-                raise TruncatedSnoopError(
-                    f"{path}: truncated record header",
-                    byte_offset=base,
-                    frames_read=frames_read,
-                    compressed=compressed,
-                )
-            raise TruncatedSnoopError(
-                f"{path}: truncated record body",
-                byte_offset=base + _RECORD_HEADER.size,
-                frames_read=frames_read,
-                compressed=compressed,
-            )
-        if len(rows):
-            yield rows.flush()
+    yield from _read_capture(path, _SNOOP, batch_frames, compressed, _CHUNK_BYTES)
 
 
 def read_snoop(path: str | Path) -> Trace:
     """Read a snoop capture (optionally gzipped) into a Trace."""
-    batches = list(read_snoop_batches(path))
-    if not batches:
-        return Trace.empty()
-    if len(batches) == 1:
-        return batches[0]
-    return Trace(
-        {
-            name: np.concatenate([b.column(name) for b in batches])
-            for name in TRACE_COLUMNS
-        }
-    )
+    return _collect(read_snoop_batches(path))

@@ -19,14 +19,19 @@ captures (:mod:`repro.corpus.snoop`) in addition to plain pcap;
 :func:`write_trace` routes on the path suffix (``.pcap`` /
 ``.pcap.gz`` / ``.snoop`` / ``.snoop.gz``).  For compressed captures
 every reported byte offset is into the *decompressed* stream.
+
+Both containers share one columnar codec: records are encoded and
+decoded as numpy slabs, and each container contributes only its file
+header and its per-record header (:class:`_Container`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import struct
 from pathlib import Path
-from typing import BinaryIO
+from typing import Callable
 
 import numpy as np
 
@@ -39,8 +44,8 @@ from ..frames import (
     Trace,
     rate_to_code,
 )
-from ..frames.dot11 import RATE_CODES, frame_type_from_dot11
-from .dot11_codec import decode_frame, encode_frame
+from ..frames.dot11 import DOT11_RATES_MBPS, frame_type_from_dot11
+from .dot11_codec import _frame_control, decode_frame, encode_frame
 from .radiotap import CHANNEL_FREQ_MHZ, RadiotapHeader
 from .radiotap import _PRESENT as _RT_PRESENT
 
@@ -82,6 +87,16 @@ class TruncatedPcapError(ValueError):
         self.frames_read = frames_read
         self.compressed = compressed
 
+    @classmethod
+    def _corrupt_gzip(cls, path, error, byte_offset, frames_read):
+        """The gzip stream itself failed to decompress."""
+        return cls(
+            f"{path}: corrupt gzip stream ({type(error).__name__}: {error})",
+            byte_offset=byte_offset,
+            frames_read=frames_read,
+            compressed=True,
+        )
+
 _MAGIC = 0xA1B2C3D4
 LINKTYPE_RADIOTAP = 127
 
@@ -94,16 +109,146 @@ _SNOOP_IDENT = b"snoop\x00\x00\x00"
 PAPER_SNAPLEN = 250
 
 _NOISE_FLOOR_DBM = -96
+#: ``duration_fill``'s Duration field: SIFS + ACK, the remaining exchange.
+_DURATION_FILL_US = 10 + 304
+
+#: File-read granularity for the batched reader.
+_CHUNK_BYTES = 4 << 20
+#: Rows per encoded slab: bounds writer memory for any trace length.
+_SLAB_ROWS = 16_384
 
 
-def _write_global_header(fp: BinaryIO, snaplen: int) -> None:
-    fp.write(
-        struct.pack("<IHHiIII", _MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_RADIOTAP)
-    )
+class _Container:
+    """How one capture container frames its records.
+
+    ``header_format`` is the per-record :mod:`struct` header; its fields
+    are all 4-byte unsigned, named by ``fields`` from ``ts_sec``,
+    ``ts_usec``, ``incl``, ``orig``, ``rec_len`` and ``drops``.  A
+    ``rec_len`` field is the record stride (snoop); without one the
+    stride is header + included length (pcap).  Payloads are zero-padded
+    to ``align``.  ``dtype`` views the same header bytes in numpy.
+    """
+
+    def __init__(
+        self,
+        header_format: str,
+        fields: tuple[str, ...],
+        *,
+        file_header_size: int,
+        check_file_header: Callable[[Path, bytes], None],
+        error: type[TruncatedPcapError],
+        align: int = 1,
+    ) -> None:
+        self.header = struct.Struct(header_format)
+        self.size = self.header.size
+        self.fields = fields
+        self.dtype = np.dtype(
+            {"names": fields, "formats": [header_format[0] + "u4"] * len(fields)}
+        )
+        self.file_header_size = file_header_size
+        self.check_file_header = check_file_header
+        self.error = error
+        self.align = align
+        # The scanner's one unpack per record: (included length, stride
+        # field); for pcap the two are the same field.
+        incl_at = self.dtype.fields["incl"][1]
+        lengths = f"{header_format[0]}{incl_at}xI"
+        if "rec_len" in fields:
+            lengths += f"{self.dtype.fields['rec_len'][1] - incl_at - 4}xI"
+        self.lengths = struct.Struct(lengths)
+        self.span_base = 0 if "rec_len" in fields else self.size
+
+    def header_values(self, time_us, incl, orig) -> dict:
+        """Every header field's value, for scalars and numpy columns alike."""
+        ts_sec, ts_usec = divmod(time_us, 1_000_000)
+        rec_len = self.size + incl + (-incl % self.align)
+        return dict(
+            ts_sec=ts_sec,
+            ts_usec=ts_usec,
+            incl=incl,
+            orig=orig,
+            rec_len=rec_len,
+            drops=0,
+        )
+
+
+def _check_pcap_header(path: Path, header: bytes) -> None:
+    if len(header) < 24:
+        raise ValueError(f"{path}: not a pcap file (too short)")
+    magic, linktype = struct.unpack("<I16xI", header)  # skips version..snaplen
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: bad pcap magic {magic:#x}")
+    if linktype != LINKTYPE_RADIOTAP:
+        raise ValueError(
+            f"{path}: linktype {linktype}, expected radiotap "
+            f"({LINKTYPE_RADIOTAP})"
+        )
+
+
+_PCAP = _Container(
+    "<IIII",
+    ("ts_sec", "ts_usec", "incl", "orig"),
+    file_header_size=24,
+    check_file_header=_check_pcap_header,
+    error=TruncatedPcapError,
+)
+
+
+# --- packet layout ---------------------------------------------------------
+#
+# Every record write_trace emits has one fixed shape: a 24-byte radiotap
+# header (version 0, the exact present-word ``radiotap._PRESENT``), a
+# 10/16/24-byte 802.11 header from our codec, then a zero-filled body,
+# all cut at the snap length.  ``_PACKET_HEAD`` names the 48 leading
+# bytes, so the encoder scatters whole columns into them and the decoder
+# views gathered bytes through them.
+
+_RT_FIXED_LEN = 24  # radiotap header write_trace emits: 8 + QBBHHbb body
+
+_PACKET_HEAD = np.dtype(
+    [
+        # radiotap: version, pad, length, present word, QBBHHbb body
+        ("rt_version", "u1"), ("rt_pad", "u1"), ("rt_len", "<u2"),
+        ("present", "<u4"), ("tsft", "<u8"), ("flags", "u1"), ("rate", "u1"),
+        ("freq", "<u2"), ("chan_flags", "<u2"), ("signal", "i1"), ("noise", "i1"),
+        # 802.11: frame control, duration, RA, TA, BSSID, sequence control
+        ("fc", "<u2"), ("duration", "<u2"), ("addr1", "u1", (6,)),
+        ("addr2", "u1", (6,)), ("addr3", "u1", (6,)), ("seq_ctrl", "<u2"),
+    ]
+)
+
+#: The constant radiotap fields (version, length, present word, flags,
+#: channel flags, noise floor), taken from the scalar encoder.
+_HEAD_TEMPLATE = np.frombuffer(
+    RadiotapHeader(0, 1.0, 1, 0, _NOISE_FLOOR_DBM).encode() + bytes(24),
+    dtype=_PACKET_HEAD,
+)
+
+#: Per-FrameType 802.11 header length (0 = not a FrameType) and frame
+#: control word, taken from the scalar codec.  Indexed by uint8 columns.
+_D11_LEN = np.zeros(256, dtype=np.int64)
+_FC_BY_TYPE = np.zeros(256, dtype=np.uint16)
+for _ft in FrameType:
+    _D11_LEN[_ft] = len(encode_frame(_ft, 0, 0))
+    _FC_BY_TYPE[_ft] = _frame_control(_ft, False)
+
+#: Rate code -> radiotap rate byte (0.5 Mbps units), 0 = invalid code.
+_RATE_UNITS = np.zeros(256, dtype=np.uint8)
+_RATE_UNITS[: len(DOT11_RATES_MBPS)] = [round(r * 2) for r in DOT11_RATES_MBPS]
+
+#: Channel -> centre frequency (0 = unknown channel), and back.
+_FREQ_BY_CHANNEL = np.zeros(256, dtype=np.uint16)
+_CHANNEL_BY_FREQ = np.zeros(1 << 16, dtype=np.uint8)
+for _ch, _freq in CHANNEL_FREQ_MHZ.items():
+    _FREQ_BY_CHANNEL[_ch] = _freq
+    _CHANNEL_BY_FREQ[_freq] = _ch
+
+
+# --- writing ---------------------------------------------------------------
 
 
 def _encode_packet(row, duration_fill: bool) -> bytes:
-    """One trace row as radiotap + 802.11 bytes (shared with snoop)."""
+    """One trace row as radiotap + 802.11 bytes — the scalar reference."""
     radiotap = RadiotapHeader(
         tsft_us=row.time_us,
         rate_mbps=row.rate_mbps,
@@ -114,7 +259,7 @@ def _encode_packet(row, duration_fill: bool) -> bytes:
     body_size = 0
     if row.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
         body_size = max(0, row.size - 24)
-    duration = 10 + 304 if duration_fill else 0
+    duration = _DURATION_FILL_US if duration_fill else 0
     dot11 = encode_frame(
         ftype=row.ftype,
         src=row.src,
@@ -127,18 +272,121 @@ def _encode_packet(row, duration_fill: bool) -> bytes:
     return radiotap + dot11
 
 
-def _write_pcap_stream(
-    fp: BinaryIO, trace: Trace, snaplen: int, duration_fill: bool
+def _macs(node: np.ndarray) -> np.ndarray:
+    """Node ids as ``02:00:00:00:hi:lo`` (or broadcast) MAC rows."""
+    mac = np.zeros((len(node), 6), dtype=np.uint8)
+    mac[:, 0] = 0x02
+    mac[:, 4] = node >> 8
+    mac[:, 5] = node & 0xFF
+    mac[node == BROADCAST] = 0xFF
+    return mac
+
+
+def _encode_slab(
+    trace: Trace, rows: slice, snaplen: int, duration_fill: bool, fmt: _Container
+) -> np.ndarray | None:
+    """Records ``rows`` of ``trace`` as one contiguous container slab.
+
+    Returns None when any row is outside what the columnar encoder
+    represents — not a FrameType, a non-11b rate code, an unknown
+    channel, an unaddressable node id, a negative timestamp, a
+    non-finite SNR, a header field past 32 bits or a snap length that
+    is not a 32-bit count.  The caller then encodes the slab through
+    the scalar codecs, which raise the per-row writer's exact error.
+    """
+    if not (isinstance(snaplen, (int, np.integer)) and 0 <= snaplen <= 0xFFFFFFFF):
+        return None
+    col = {name: trace.column(name)[rows] for name in TRACE_COLUMNS}
+    ftype, src, dst = col["ftype"], col["src"], col["dst"]
+    n = len(ftype)
+    d11_len = _D11_LEN[ftype]
+    ok = (
+        (d11_len > 0)
+        & (_RATE_UNITS[col["rate_code"]] > 0)
+        & (_FREQ_BY_CHANNEL[col["channel"]] > 0)
+        & (col["time_us"] >= 0)
+        & np.isfinite(col["snr_db"])
+        & (dst != NO_NODE)
+        & ((src != NO_NODE) | (d11_len == 10))  # ACK/CTS carry no TA
+    )
+    body = np.where(
+        d11_len == 24, np.maximum(col["size"].astype(np.int64) - 24, 0), 0
+    )
+    orig = _RT_FIXED_LEN + d11_len + body
+    incl = np.minimum(orig, snaplen)
+    values = fmt.header_values(col["time_us"], incl, orig)
+    hdr = np.zeros(n, dtype=fmt.dtype)
+    for name in fmt.fields:
+        ok &= values[name] <= 0xFFFFFFFF
+        hdr[name] = values[name]
+    if not ok.all():
+        return None
+
+    head = np.repeat(_HEAD_TEMPLATE, n)
+    head["tsft"] = col["time_us"]
+    head["rate"] = _RATE_UNITS[col["rate_code"]]
+    head["freq"] = _FREQ_BY_CHANNEL[col["channel"]]
+    # Double-precision, round-half-even: exactly int(round(-96 + snr)).
+    head["signal"] = np.clip(
+        np.rint(col["snr_db"].astype(np.float64) + _NOISE_FLOOR_DBM), -128, 127
+    )
+    head["fc"] = _FC_BY_TYPE[ftype] | (col["retry"].astype(np.uint16) << 11)
+    head["duration"] = _DURATION_FILL_US if duration_fill else 0
+    head["addr1"] = _macs(dst)
+    head["addr2"] = head["addr3"] = _macs(src)
+    head["seq_ctrl"] = (col["seq"] & 0x0FFF) << 4
+
+    # Each record is its header plus the first ``incl`` packet bytes;
+    # head bytes past a short packet (ACK/CTS/RTS) and the body stay
+    # zero.  Scattering one byte column at a time keeps memory O(rows).
+    rec = np.concatenate(
+        [hdr.view(np.uint8).reshape(n, -1), head.view(np.uint8).reshape(n, -1)],
+        axis=1,
+    )
+    rec_len = values["rec_len"]
+    start = np.cumsum(rec_len) - rec_len
+    end = fmt.size + incl
+    slab = np.zeros(int(rec_len.sum()), dtype=np.uint8)
+    for j in range(rec.shape[1]):
+        kept = end > j
+        slab[start[kept] + j] = rec[kept, j]
+    return slab
+
+
+def _write_capture(
+    path: Path,
+    file_header: bytes,
+    trace: Trace,
+    snaplen: int,
+    duration_fill: bool,
+    fmt: _Container,
 ) -> int:
-    _write_global_header(fp, snaplen)
-    for row in trace.iter_rows():
-        packet = _encode_packet(row, duration_fill)
-        incl = packet[:snaplen]
-        ts_sec, ts_usec = divmod(row.time_us, 1_000_000)
-        fp.write(
-            struct.pack("<IIII", ts_sec, ts_usec, len(incl), len(packet))
-        )
-        fp.write(incl)
+    """Write ``file_header`` then ``trace``'s records, one slab at a time.
+
+    A ``.gz`` suffix compresses; filename="" and mtime=0 keep the gzip
+    member header free of path and clock, so identical traces compress
+    to identical bytes (the corpus content hash is write-order free).
+    """
+    compress = path.name.lower().endswith(".gz")
+    with path.open("wb") as raw, (
+        gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
+        if compress
+        else contextlib.nullcontext(raw)
+    ) as fp:
+        fp.write(file_header)
+        for start in range(0, len(trace), _SLAB_ROWS):
+            rows = slice(start, start + _SLAB_ROWS)
+            slab = _encode_slab(trace, rows, snaplen, duration_fill, fmt)
+            if slab is not None:
+                fp.write(slab)
+                continue
+            for i in range(*rows.indices(len(trace))):  # raises the row's error
+                row = trace.row(i)
+                packet = _encode_packet(row, duration_fill)
+                incl = packet[:snaplen]
+                values = fmt.header_values(row.time_us, len(incl), len(packet))
+                fp.write(fmt.header.pack(*(values[f] for f in fmt.fields)))
+                fp.write(incl + bytes(values["rec_len"] - fmt.size - len(incl)))
     return len(trace)
 
 
@@ -160,23 +408,19 @@ def write_trace(
     tools display something sensible; it is not read back.
     """
     path = Path(path)
-    name = path.name.lower()
-    if name.endswith((".snoop", ".snoop.gz")):
+    if path.name.lower().endswith((".snoop", ".snoop.gz")):
         from ..corpus.snoop import write_snoop
 
         return write_snoop(
             trace, path, snaplen=snaplen, duration_fill=duration_fill
         )
-    if name.endswith(".gz"):
-        # filename="" and mtime=0 keep the member header free of the
-        # output path and clock: identical traces compress to identical
-        # bytes, so the corpus content hash is write-order independent.
-        with path.open("wb") as raw, gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb", mtime=0
-        ) as fp:
-            return _write_pcap_stream(fp, trace, snaplen, duration_fill)
-    with path.open("wb") as fp:
-        return _write_pcap_stream(fp, trace, snaplen, duration_fill)
+    header = struct.pack(
+        "<IHHiIII", _MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_RADIOTAP
+    )
+    return _write_capture(path, header, trace, snaplen, duration_fill, _PCAP)
+
+
+# --- reading ---------------------------------------------------------------
 
 
 class _RowBuffer:
@@ -186,63 +430,50 @@ class _RowBuffer:
     decoder's output) and scalar rows (the fallback decoder's output).
     Columns and dtypes come from the trace schema
     (:data:`repro.frames.TRACE_SCHEMA`) so the pcap layer never
-    restates them.
+    restates them.  ``total`` counts every row ever appended: the
+    clean-frame count a truncation error reports.
     """
 
     def __init__(self) -> None:
         self._chunks: list[dict[str, np.ndarray]] = []
-        self._scalar: dict[str, list] | None = None
+        self._rows: list[dict] = []
         self._len = 0
+        self.total = 0
 
     def __len__(self) -> int:
         return self._len
 
     def append_row(self, values: dict) -> None:
-        if self._scalar is None:
-            self._scalar = {name: [] for name, _ in TRACE_SCHEMA}
-        for name, _ in TRACE_SCHEMA:
-            self._scalar[name].append(values[name])
+        self._rows.append(values)
         self._len += 1
+        self.total += 1
 
     def append_chunk(self, cols: dict[str, np.ndarray]) -> None:
         self._seal()
         self._chunks.append(cols)
         self._len += len(cols["time_us"])
+        self.total += len(cols["time_us"])
 
     def _seal(self) -> None:
-        if self._scalar is not None:
+        if self._rows:
             self._chunks.append(
                 {
-                    name: np.array(self._scalar[name], dtype=dtype)
+                    name: np.array([row[name] for row in self._rows], dtype=dtype)
                     for name, dtype in TRACE_SCHEMA
                 }
             )
-            self._scalar = None
+            self._rows = []
 
     def take(self, count: int) -> Trace:
         """Remove and return the first ``count`` rows as a Trace."""
         self._seal()
-        if len(self._chunks) == 1:
-            merged = self._chunks[0]
-        else:
-            merged = {
-                name: np.concatenate([c[name] for c in self._chunks])
-                for name, _ in TRACE_SCHEMA
-            }
-        if count < self._len:
-            rest = {name: col[count:] for name, col in merged.items()}
-            merged = {name: col[:count] for name, col in merged.items()}
-            self._chunks = [rest]
-            self._len -= count
-        else:
-            self._chunks = []
-            self._len = 0
-        return Trace(
-            {
-                name: np.ascontiguousarray(merged[name], dtype=dtype)
-                for name, dtype in TRACE_SCHEMA
-            }
-        )
+        merged = {
+            name: np.concatenate([c[name] for c in self._chunks])
+            for name, _ in TRACE_SCHEMA
+        }
+        self._chunks = [{name: col[count:] for name, col in merged.items()}]
+        self._len -= count
+        return Trace({name: col[:count] for name, col in merged.items()})
 
     def flush(self) -> Trace:
         return self.take(self._len)
@@ -250,18 +481,10 @@ class _RowBuffer:
 
 # --- vectorized record decoding --------------------------------------------
 #
-# Captures written by :func:`write_trace` have one fixed shape: a
-# 24-byte radiotap header (version 0, the exact present-word
-# ``radiotap._PRESENT``) followed by an 802.11 header from our codec.
-# Records matching that shape are decoded wholesale — the byte stream is
-# viewed as a numpy array, per-record field offsets become integer
-# gathers, and one pass materialises every trace column for thousands of
-# records.  Any record that does not match (foreign radiotap geometry,
+# Any record not in the writer's shape (foreign radiotap geometry,
 # unknown type/subtype, alien MAC prefix, non-11b rate...) drops to the
-# scalar codec path, which reproduces the legacy per-record behaviour —
-# including which exception surfaces and with what offsets — exactly.
-
-_RT_FIXED_LEN = 24  # radiotap header write_trace emits: 8 + QBBHHbb body
+# scalar codec path, which keeps the legacy per-record behaviour — which
+# exception surfaces, with what offsets — exactly.
 
 #: (dot11_type << 4 | subtype) -> FrameType value, 255 = undecodable.
 _FT_TABLE = np.full(64, 255, dtype=np.uint8)
@@ -274,106 +497,75 @@ for _t in range(4):
 
 #: radiotap rate byte (0.5 Mbps units) -> trace rate code, 255 = invalid.
 _RATE_TABLE = np.full(256, 255, dtype=np.uint8)
-for _rate, _code in RATE_CODES.items():
-    _RATE_TABLE[int(_rate * 2)] = _code
-
-_FREQ_SORTED = np.array(sorted(CHANNEL_FREQ_MHZ.values()), dtype=np.uint16)
-_FREQ_CHANNEL = np.array(
-    [
-        {f: c for c, f in CHANNEL_FREQ_MHZ.items()}[int(f)]
-        for f in _FREQ_SORTED
-    ],
-    dtype=np.uint8,
-)
+_RATE_TABLE[_RATE_UNITS[: len(DOT11_RATES_MBPS)]] = range(len(DOT11_RATES_MBPS))
 
 #: Control-frame on-air sizes indexed by FrameType value.
 _CTRL_SIZE = np.zeros(8, dtype=np.uint32)
-_CTRL_SIZE[int(FrameType.ACK)] = 14
-_CTRL_SIZE[int(FrameType.CTS)] = 14
-_CTRL_SIZE[int(FrameType.RTS)] = 20
-
-#: File-read granularity for the batched reader.
-_CHUNK_BYTES = 4 << 20
+_CTRL_SIZE[[FrameType.ACK, FrameType.CTS, FrameType.RTS]] = (14, 14, 20)
 
 
-def _scan_records(buf: bytes) -> tuple[list[int], int]:
-    """Offsets of complete pcap records in ``buf`` and the bytes consumed."""
+def _scan_records(buf: bytes, fmt: _Container = _PCAP) -> tuple[list[int], int]:
+    """Offsets of complete records in ``buf`` and the bytes consumed.
+
+    Stops at the first incomplete record, and at a header whose stride
+    cannot hold its payload (snoop's ``rec_len``; the reader reports it).
+    """
     offs: list[int] = []
+    append = offs.append
+    unpack = fmt.lengths.unpack_from
+    size, base = fmt.size, fmt.span_base
     pos = 0
     limit = len(buf)
-    from_bytes = int.from_bytes
-    while pos + 16 <= limit:
-        end = pos + 16 + from_bytes(buf[pos + 8 : pos + 12], "little")
-        if end > limit:
+    while pos + size <= limit:
+        lengths = unpack(buf, pos)
+        span = base + lengths[-1]
+        if span < size + lengths[0] or pos + span > limit:
             break
-        offs.append(pos)
-        pos = end
+        append(pos)
+        pos += span
     return offs, pos
 
 
-def _decode_block(u8: np.ndarray, offs: np.ndarray) -> tuple[dict, np.ndarray]:
+def _decode_block(
+    u8: np.ndarray, offs: np.ndarray, fmt: _Container = _PCAP
+) -> tuple[dict, np.ndarray]:
     """Vector-decode the records at ``offs``; returns (columns, ok mask).
 
     Columns are full-length; positions where ``ok`` is False hold
     garbage and must be re-decoded by the scalar path.
     """
     last = len(u8) - 1
-    hdr = u8[offs[:, None] + np.arange(16)].view("<u4")
-    ts_sec = hdr[:, 0].astype(np.int64)
-    ts_usec = hdr[:, 1].astype(np.int64)
-    incl = hdr[:, 2].astype(np.int64)
-    orig = hdr[:, 3].astype(np.int64)
+    hdr = u8[offs[:, None] + np.arange(fmt.size)].view(fmt.dtype)[:, 0]
+    incl = hdr["incl"].astype(np.int64)
+    orig = hdr["orig"].astype(np.int64)
+    packet = offs[:, None] + fmt.size + np.arange(_PACKET_HEAD.itemsize)
+    h = u8[np.minimum(packet, last)].view(_PACKET_HEAD)[:, 0]
 
-    rt = u8[np.minimum(offs[:, None] + 16 + np.arange(24), last)]
-    rt_len = rt[:, 2].astype(np.uint16) | (rt[:, 3].astype(np.uint16) << 8)
-    present = (
-        rt[:, 4].astype(np.uint32)
-        | (rt[:, 5].astype(np.uint32) << 8)
-        | (rt[:, 6].astype(np.uint32) << 16)
-        | (rt[:, 7].astype(np.uint32) << 24)
-    )
     ok = (
         (incl >= 34)
-        & (rt[:, 0] == 0)
-        & (rt_len == _RT_FIXED_LEN)
-        & (present == np.uint32(_RT_PRESENT))
+        & (h["rt_version"] == 0)
+        & (h["rt_len"] == _RT_FIXED_LEN)
+        & (h["present"] == _RT_PRESENT)
     )
-
-    rate_code = _RATE_TABLE[rt[:, 17]]
+    rate_code = _RATE_TABLE[h["rate"]]
     ok &= rate_code != 255
-    freq = rt[:, 18].astype(np.uint16) | (rt[:, 19].astype(np.uint16) << 8)
-    fidx = np.searchsorted(_FREQ_SORTED, freq)
-    fidx_c = np.minimum(fidx, len(_FREQ_SORTED) - 1)
-    ok &= _FREQ_SORTED[fidx_c] == freq
-    channel = _FREQ_CHANNEL[fidx_c]
-    snr = (
-        rt[:, 22].astype(np.int8).astype(np.int16)
-        - rt[:, 23].astype(np.int8).astype(np.int16)
-    ).astype(np.float32)
+    channel = _CHANNEL_BY_FREQ[h["freq"]]
+    ok &= channel != 0
+    snr = (h["signal"].astype(np.int16) - h["noise"]).astype(np.float32)
 
-    d11 = u8[np.minimum(offs[:, None] + 40 + np.arange(24), last)]
-    fc = d11[:, 0].astype(np.uint16) | (d11[:, 1].astype(np.uint16) << 8)
+    fc = h["fc"]
     ftype = _FT_TABLE[((fc >> 2) & 0b11) * 16 + ((fc >> 4) & 0b1111)]
     ok &= ftype != 255
     retry = (fc & (1 << 11)) != 0
 
-    is_data_cls = (
-        (ftype == int(FrameType.DATA))
-        | (ftype == int(FrameType.MGMT))
-        | (ftype == int(FrameType.BEACON))
-    )
-    is_rts = ftype == int(FrameType.RTS)
-    need = np.where(is_data_cls, 48, np.where(is_rts, 40, 34))
-    ok &= incl >= need
+    d11_len = _D11_LEN[ftype]
+    is_data_cls = d11_len == 24
+    has_src = d11_len >= 16  # DATA/MGMT/BEACON and RTS carry a TA
+    ok &= incl >= _RT_FIXED_LEN + d11_len
 
     def mac_field(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bcast = (block == 0xFF).all(axis=1)
-        ours = (
-            (block[:, 0] == 0x02)
-            & (block[:, 1] == 0)
-            & (block[:, 2] == 0)
-            & (block[:, 3] == 0)
-        )
+        ours = (block[:, :4] == (0x02, 0, 0, 0)).all(axis=1)
         node = np.where(
             bcast,
             np.uint16(BROADCAST),
@@ -381,14 +573,12 @@ def _decode_block(u8: np.ndarray, offs: np.ndarray) -> tuple[dict, np.ndarray]:
         )
         return node, bcast | ours
 
-    dst, dst_ok = mac_field(d11[:, 4:10])
+    dst, dst_ok = mac_field(h["addr1"])
     ok &= dst_ok
-    src2, src_ok = mac_field(d11[:, 10:16])
-    ok &= src_ok | ~(is_data_cls | is_rts)
-    src = np.where(is_data_cls | is_rts, src2, np.uint16(NO_NODE))
-
-    seq_ctrl = d11[:, 22].astype(np.uint16) | (d11[:, 23].astype(np.uint16) << 8)
-    seq = np.where(is_data_cls, seq_ctrl >> 4, np.uint16(0))
+    src2, src_ok = mac_field(h["addr2"])
+    ok &= src_ok | ~has_src
+    src = np.where(has_src, src2, np.uint16(NO_NODE))
+    seq = np.where(is_data_cls, h["seq_ctrl"] >> 4, np.uint16(0))
 
     # orig_len preserves the pre-snap size: radiotap + 24 + body.
     size = np.where(
@@ -398,7 +588,7 @@ def _decode_block(u8: np.ndarray, offs: np.ndarray) -> tuple[dict, np.ndarray]:
     ).astype(np.uint32)
 
     cols = {
-        "time_us": ts_sec * 1_000_000 + ts_usec,
+        "time_us": hdr["ts_sec"].astype(np.int64) * 1_000_000 + hdr["ts_usec"],
         "ftype": ftype,
         "rate_code": rate_code,
         "size": size,
@@ -412,38 +602,47 @@ def _decode_block(u8: np.ndarray, offs: np.ndarray) -> tuple[dict, np.ndarray]:
     return cols, ok
 
 
-#: Exceptions the radiotap/802.11 codecs raise on damaged bytes.  The
-#: snoop reader reuses this tuple so both containers wrap codec
-#: failures identically.
+#: Exceptions the radiotap/802.11 codecs raise on damaged bytes; both
+#: containers wrap them into their truncation error identically.
 CODEC_ERRORS = (struct.error, ValueError, KeyError, IndexError)
 
 
-def _decode_packet_parts(packet: bytes):
-    """Decode a radiotap + 802.11 packet; codec exceptions propagate.
+def _decode_record_scalar(
+    buf: bytes,
+    pos: int,
+    abs_offset: int,
+    frames_read: int,
+    path: Path,
+    compressed: bool = False,
+    fmt: _Container = _PCAP,
+) -> dict:
+    """Legacy per-record decode — the behavioural reference.
 
-    Returns ``(radiotap, rt_len, frame)``.  Callers own the wrapping of
-    :data:`CODEC_ERRORS` into their container's truncation error.
-    """
-    radiotap, rt_len = RadiotapHeader.decode(packet)
-    frame = decode_frame(packet[rt_len:])
-    return radiotap, rt_len, frame
-
-
-def _row_from_packet(radiotap, rt_len, frame, orig_len, time_us) -> dict:
-    """One decoded packet as a trace-row dict (shared with snoop).
-
-    ``rate_to_code``'s bare ``ValueError`` for a well-formed record
-    bearing a non-802.11b rate escapes deliberately — that is not
+    Raises exactly what the historical loop raised: the container's
+    truncation error (with the record's absolute byte offset) when the
+    codecs reject the bytes, and ``rate_to_code``'s bare ``ValueError``
+    for a well-formed record bearing a non-802.11b rate — that is not
     truncation, it is an out-of-scope capture.
     """
+    rec = dict(zip(fmt.fields, fmt.header.unpack_from(buf, pos)))
+    packet = buf[pos + fmt.size : pos + fmt.size + rec["incl"]]
+    try:
+        radiotap, rt_len = RadiotapHeader.decode(packet)
+        frame = decode_frame(packet[rt_len:])
+    except CODEC_ERRORS as error:
+        raise fmt.error(
+            f"{path}: undecodable record "
+            f"({type(error).__name__}: {error})",
+            byte_offset=abs_offset,
+            frames_read=frames_read,
+            compressed=compressed,
+        ) from error
     if frame.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
-        size = max(0, orig_len - rt_len - 24) + 24
+        size = max(0, rec["orig"] - rt_len - 24) + 24
     else:
-        size = {FrameType.ACK: 14, FrameType.CTS: 14, FrameType.RTS: 20}[
-            frame.ftype
-        ]
+        size = int(_CTRL_SIZE[frame.ftype])
     return {
-        "time_us": time_us,
+        "time_us": rec["ts_sec"] * 1_000_000 + rec["ts_usec"],
         "ftype": int(frame.ftype),
         "rate_code": rate_to_code(radiotap.rate_mbps),
         "size": size,
@@ -456,36 +655,104 @@ def _row_from_packet(radiotap, rt_len, frame, orig_len, time_us) -> dict:
     }
 
 
-def _decode_record_scalar(
-    buf: bytes,
-    pos: int,
-    abs_offset: int,
-    frames_read: int,
-    path: Path,
-    compressed: bool = False,
-) -> dict:
-    """Legacy per-record decode — the behavioural reference.
+def _decode_records(rows, buf, base, offs, batch_frames, path, compressed, fmt):
+    """Decode the records at ``offs`` into ``rows``, yielding full batches.
 
-    Raises exactly what the historical loop raised: a
-    :class:`TruncatedPcapError` (with the record's absolute byte offset)
-    when the codecs reject the bytes, and ``rate_to_code``'s bare
-    ``ValueError`` for a well-formed record bearing a non-802.11b rate.
+    Runs :func:`_decode_block` accepts go in as column chunks; the rest,
+    record by record, through :func:`_decode_record_scalar`.
     """
-    ts_sec, ts_usec, incl_len, orig_len = struct.unpack_from("<IIII", buf, pos)
-    packet = buf[pos + 16 : pos + 16 + incl_len]
-    try:
-        radiotap, rt_len, frame = _decode_packet_parts(packet)
-    except CODEC_ERRORS as error:
-        raise TruncatedPcapError(
-            f"{path}: undecodable record "
-            f"({type(error).__name__}: {error})",
-            byte_offset=abs_offset,
-            frames_read=frames_read,
-            compressed=compressed,
-        ) from error
-    return _row_from_packet(
-        radiotap, rt_len, frame, orig_len, ts_sec * 1_000_000 + ts_usec
-    )
+    cols, ok = _decode_block(np.frombuffer(buf, dtype=np.uint8), offs, fmt)
+    bounds = [0, *(np.flatnonzero(np.diff(ok)) + 1).tolist(), len(offs)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if ok[lo]:
+            rows.append_chunk({name: col[lo:hi] for name, col in cols.items()})
+        else:
+            for off in offs[lo:hi].tolist():
+                rows.append_row(
+                    _decode_record_scalar(
+                        buf, off, base + off, rows.total, path, compressed, fmt
+                    )
+                )
+                if len(rows) >= batch_frames:
+                    yield rows.take(batch_frames)
+        while len(rows) >= batch_frames:
+            yield rows.take(batch_frames)
+
+
+def _read_capture(
+    path: Path,
+    fmt: _Container,
+    batch_frames: int,
+    compressed: bool,
+    chunk_bytes: int,
+):
+    """Stream the records of one container as bounded-size Traces.
+
+    The file is consumed in ``chunk_bytes`` slabs, so memory stays
+    bounded however large the capture is.  Damage raises ``fmt.error``
+    *after* the clean prefix is flushed.
+    """
+    with (gzip.open(path, "rb") if compressed else path.open("rb")) as fp:
+        try:
+            header = fp.read(fmt.file_header_size)
+        except (EOFError, OSError) as error:
+            raise fmt.error._corrupt_gzip(path, error, 0, 0) from error
+        fmt.check_file_header(path, header)
+
+        rows = _RowBuffer()
+        base = fmt.file_header_size  # absolute (decompressed) offset of buf[0]
+        buf = b""
+        eof = False
+        try:
+            while not eof:
+                try:
+                    data = fp.read(chunk_bytes)
+                except (EOFError, OSError) as error:
+                    if not compressed:
+                        raise
+                    # The gzip stream itself died (truncated or corrupt
+                    # compressed bytes): everything decoded so far is a
+                    # clean prefix, exactly like an on-disk truncation.
+                    raise fmt.error._corrupt_gzip(
+                        path, error, base + len(buf), rows.total
+                    ) from error
+                eof = not data
+                buf = buf + data if buf else data
+                rel_offs, consumed = _scan_records(buf, fmt)
+                if rel_offs:
+                    offs = np.asarray(rel_offs, dtype=np.int64)
+                    yield from _decode_records(
+                        rows, buf, base, offs, batch_frames, path, compressed, fmt
+                    )
+                if len(buf) - consumed >= fmt.size:
+                    lengths = fmt.lengths.unpack_from(buf, consumed)
+                    incl, stride = lengths[0], lengths[-1]
+                    if fmt.span_base + stride < fmt.size + incl:
+                        raise fmt.error(
+                            f"{path}: invalid record length {stride} "
+                            f"(included length {incl})",
+                            byte_offset=base + consumed,
+                            frames_read=rows.total,
+                            compressed=compressed,
+                        )
+                buf = buf[consumed:]
+                base += consumed
+            if buf:
+                whole = len(buf) >= fmt.size
+                raise fmt.error(
+                    f"{path}: truncated record {'body' if whole else 'header'}",
+                    byte_offset=base + (fmt.size if whole else 0),
+                    frames_read=rows.total,
+                    compressed=compressed,
+                )
+        except TruncatedPcapError:
+            # Damage found: flush the clean prefix first so streaming
+            # callers keep every frame read so far.
+            if len(rows):
+                yield rows.flush()
+            raise
+        if len(rows):
+            yield rows.flush()
 
 
 def read_trace_batches(
@@ -500,15 +767,12 @@ def read_trace_batches(
     :mod:`gzip` — the file is never fully decompressed in memory — and
     every reported byte offset is into the decompressed stream.
 
-    The file is consumed in multi-megabyte slabs, so memory stays
-    bounded no matter how large the capture is — the streaming
+    Memory stays bounded however large the capture is — the streaming
     pipeline's pcap source.  Records in the shape :func:`write_trace`
-    emits are decoded in bulk via numpy gathers over the raw byte
-    stream; anything else falls back, record by record, to the scalar
-    codecs, which also own the error behaviour (damaged tails raise
+    emits are bulk-decoded; anything else falls back to the scalar
+    codecs, which own the error behaviour (damaged tails raise
     :class:`TruncatedPcapError` *after* the clean prefix is flushed).
-    Frames are yielded in file order; captures written by
-    :func:`write_trace` are time-ordered.
+    Frames are yielded in file order.
     """
     if batch_frames <= 0:
         raise ValueError("batch_frames must be positive")
@@ -521,154 +785,28 @@ def read_trace_batches(
             with gzip.open(path, "rb") as zp:
                 head = zp.read(8)
         except (EOFError, OSError) as error:
-            raise TruncatedPcapError(
-                f"{path}: corrupt gzip stream "
-                f"({type(error).__name__}: {error})",
-                byte_offset=0,
-                frames_read=0,
-                compressed=True,
-            ) from error
+            raise TruncatedPcapError._corrupt_gzip(path, error, 0, 0) from error
     if head.startswith(_SNOOP_IDENT):
         from ..corpus.snoop import read_snoop_batches
 
         yield from read_snoop_batches(path, batch_frames)
         return
-    yield from _read_pcap_batches(path, batch_frames, compressed)
+    yield from _read_capture(path, _PCAP, batch_frames, compressed, _CHUNK_BYTES)
 
 
-def _read_pcap_batches(path: Path, batch_frames: int, compressed: bool):
-    """The pcap body of :func:`read_trace_batches` (format pre-sniffed)."""
-    with (gzip.open(path, "rb") if compressed else path.open("rb")) as fp:
-        try:
-            header = fp.read(24)
-        except (EOFError, OSError) as error:
-            raise TruncatedPcapError(
-                f"{path}: corrupt gzip stream "
-                f"({type(error).__name__}: {error})",
-                byte_offset=0,
-                frames_read=0,
-                compressed=True,
-            ) from error
-        if len(header) < 24:
-            raise ValueError(f"{path}: not a pcap file (too short)")
-        magic, _vmaj, _vmin, _tz, _sig, _snaplen, linktype = struct.unpack(
-            "<IHHiIII", header
-        )
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad pcap magic {magic:#x}")
-        if linktype != LINKTYPE_RADIOTAP:
-            raise ValueError(
-                f"{path}: linktype {linktype}, expected radiotap "
-                f"({LINKTYPE_RADIOTAP})"
-            )
-
-        rows = _RowBuffer()
-        base = 24  # absolute (decompressed) offset of buf[0]
-        buf = b""
-        frames_read = 0
-        eof = False
-        while not eof:
-            try:
-                data = fp.read(_CHUNK_BYTES)
-            except (EOFError, OSError) as error:
-                if not compressed:
-                    raise
-                # The gzip stream itself died (truncated or corrupt
-                # compressed bytes): everything decoded so far is a
-                # clean prefix, exactly like an on-disk truncation.
-                if len(rows):
-                    yield rows.flush()
-                raise TruncatedPcapError(
-                    f"{path}: corrupt gzip stream "
-                    f"({type(error).__name__}: {error})",
-                    byte_offset=base + len(buf),
-                    frames_read=frames_read,
-                    compressed=True,
-                ) from error
-            if not data:
-                eof = True
-            else:
-                buf = buf + data if buf else data
-            rel_offs, consumed = _scan_records(buf)
-            if not eof and not rel_offs:
-                continue  # record longer than the slab: keep reading
-            if rel_offs:
-                offs = np.asarray(rel_offs, dtype=np.int64)
-                u8 = np.frombuffer(buf, dtype=np.uint8)
-                cols, ok = _decode_block(u8, offs)
-                run_start = 0
-                n_rec = len(offs)
-                while run_start < n_rec:
-                    run_ok = bool(ok[run_start])
-                    run_end = run_start + 1
-                    while run_end < n_rec and bool(ok[run_end]) == run_ok:
-                        run_end += 1
-                    if run_ok:
-                        rows.append_chunk(
-                            {
-                                name: col[run_start:run_end]
-                                for name, col in cols.items()
-                            }
-                        )
-                        frames_read += run_end - run_start
-                        while len(rows) >= batch_frames:
-                            yield rows.take(batch_frames)
-                    else:
-                        for i in range(run_start, run_end):
-                            try:
-                                values = _decode_record_scalar(
-                                    buf,
-                                    int(offs[i]),
-                                    base + int(offs[i]),
-                                    frames_read,
-                                    path,
-                                    compressed,
-                                )
-                            except TruncatedPcapError:
-                                if len(rows):
-                                    yield rows.flush()
-                                raise
-                            rows.append_row(values)
-                            frames_read += 1
-                            if len(rows) >= batch_frames:
-                                yield rows.take(batch_frames)
-                    run_start = run_end
-            buf = buf[consumed:]
-            base += consumed
-        if buf:
-            # Damage found: flush the clean prefix first so streaming
-            # callers keep every frame read so far.
-            if len(buf) < 16:
-                if len(rows):
-                    yield rows.flush()
-                raise TruncatedPcapError(
-                    f"{path}: truncated record header",
-                    byte_offset=base,
-                    frames_read=frames_read,
-                    compressed=compressed,
-                )
-            if len(rows):
-                yield rows.flush()
-            raise TruncatedPcapError(
-                f"{path}: truncated record body",
-                byte_offset=base + 16,
-                frames_read=frames_read,
-                compressed=compressed,
-            )
-        if len(rows):
-            yield rows.flush()
-
-
-def read_trace(path: str | Path) -> Trace:
-    """Read a capture (pcap/snoop, optionally gzipped) into a Trace."""
-    batches = list(read_trace_batches(path))
-    if not batches:
-        return Trace.empty()
-    if len(batches) == 1:
-        return batches[0]
+def _collect(batches) -> Trace:
+    """Concatenate streamed batches into one Trace."""
+    batches = list(batches)
+    if len(batches) <= 1:
+        return batches[0] if batches else Trace.empty()
     return Trace(
         {
             name: np.concatenate([b.column(name) for b in batches])
             for name in TRACE_COLUMNS
         }
     )
+
+
+def read_trace(path: str | Path) -> Trace:
+    """Read a capture (pcap/snoop, optionally gzipped) into a Trace."""
+    return _collect(read_trace_batches(path))

@@ -1,6 +1,7 @@
 """Scenario configs and runners: assembled networks that emit traces.
 Three config families reproduce the paper's measurement settings at
-laptop scale (the scale substitution is documented in DESIGN.md §2):
+laptop scale (simulated minutes standing in for the paper's multi-hour
+IETF sessions):
 
 * :func:`run_scenario` / :func:`stream_scenario` — one room, one or
   more AP/channel cells, configurable traffic, rate adaptation and

@@ -22,6 +22,7 @@ import pytest
 
 from repro.campaign import CampaignCell, ParameterGrid, run_campaign
 from repro.campaign.dispatch import Coordinator, CoordinatorState
+from repro.campaign.runner import Timeout, _cell_deadline
 from repro.campaign.store import CampaignStore, FailedCell
 from repro.sim.library import SCENARIO_LIBRARY
 
@@ -279,7 +280,35 @@ HUNG_CELL = CampaignCell(
 )
 
 
+def _spin(seconds: float) -> None:
+    """Busy-wait (the alarm interrupts bytecode, not sleeps)."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        pass
+
+
 class TestCellTimeout:
+    def test_timeout_converted_by_library_code_is_still_a_timeout(self):
+        """numpy's structured-array comparison can re-raise the alarm's
+        exception as a TypeError; the cell still failed by timing out."""
+        with pytest.raises(Timeout, match="timeout_s=0.05"):
+            with _cell_deadline(0.05):
+                try:
+                    _spin(10.0)
+                except Timeout:
+                    raise TypeError("converted by library code") from None
+
+    def test_swallowed_timeout_fires_again(self):
+        swallowed = []
+        with pytest.raises(Timeout):
+            with _cell_deadline(0.05):
+                try:
+                    _spin(10.0)
+                except Timeout:
+                    swallowed.append(True)
+                _spin(10.0)
+        assert swallowed == [True]
+
     def test_serial_hung_cell_becomes_timeout_failure(self):
         result = run_campaign([HUNG_CELL], workers=1, timeout_s=0.15)
         assert not result.cells

@@ -1,7 +1,8 @@
 """Shape tests for the paper's headline findings on a scaled load ramp.
 
 These are the scientific acceptance tests: each asserts the *direction*
-of one of the paper's findings (F1-F5 in DESIGN.md) on a small ramp run.
+of one of the paper's findings (numbered F1-F5 in the class names below)
+on a small ramp run.
 Magnitudes differ from the paper (our substrate is a scaled simulator);
 directions must not.
 """
