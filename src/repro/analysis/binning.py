@@ -67,12 +67,18 @@ def bin_by_utilization(
     values: np.ndarray,
     min_count: int = 1,
     upper: float = 100.0,
+    counts: np.ndarray | None = None,
 ) -> BinnedSeries:
     """Average ``values`` over seconds grouped by integer utilization bin.
 
     ``utilization_percent`` and ``values`` are parallel per-second
     arrays.  Bins observed fewer than ``min_count`` times are dropped
     (sparse extreme bins are noise in short traces).
+
+    ``counts``, when given, is a parallel per-second count of the
+    samples summed into ``values`` (e.g. deliveries per second): each
+    bin's value is then Σvalues / Σcounts and its count Σcounts, the
+    per-sample mean computed from per-second sufficient statistics.
     """
     utilization_percent = np.asarray(utilization_percent, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -80,7 +86,12 @@ def bin_by_utilization(
         raise ValueError("utilization and values must be parallel arrays")
     bins = utilization_bins(utilization_percent, upper)
     n_bins = int(upper) + 1
-    counts = np.bincount(bins, minlength=n_bins)
+    if counts is None:
+        counts = np.bincount(bins, minlength=n_bins)
+    else:
+        counts = np.bincount(
+            bins, weights=np.asarray(counts, dtype=np.float64), minlength=n_bins
+        ).astype(np.int64)
     sums = np.bincount(bins, weights=values, minlength=n_bins)
     present = counts >= max(1, min_count)
     lefts = np.arange(n_bins)[present]

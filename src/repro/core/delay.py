@@ -67,9 +67,10 @@ class AcceptanceDelays:
 #: sniffer missed could inherit a stale first-attempt timestamp from a
 #: previous incarnation of the same key, minutes in the past.  Seven
 #: retries of an XL-1 frame with maximal backoff stay well under 1 s.
-#: Shared with the streaming pipeline's chain reconstruction.
+#: Shared with the streaming pipeline's chain reconstruction, which
+#: also drops chains this far behind the newest frame: the next frame
+#: with their key would restart them anyway.
 CHAIN_TIMEOUT_US = 1_000_000
-_CHAIN_TIMEOUT_US = CHAIN_TIMEOUT_US  # backwards-compatible alias
 
 
 def acceptance_delays(trace: Trace) -> AcceptanceDelays:
@@ -114,7 +115,7 @@ def acceptance_delays(trace: Trace) -> AcceptanceDelays:
         if (
             not retry[row]
             or known is None
-            or now - known > _CHAIN_TIMEOUT_US
+            or now - known > CHAIN_TIMEOUT_US
         ):
             # A clear Retry bit starts a fresh chain; a retry without a
             # recorded (recent) first attempt — the sniffer missed it,
@@ -183,7 +184,13 @@ def bin_deliveries(
     min_count: int = 1,
 ) -> DelaySeries:
     """Bin extracted deliveries by the utilization of their first-attempt
-    second — the Figure-15 transform, shared with the streaming pipeline."""
+    second — the Figure-15 transform over per-delivery arrays.
+
+    This is the batch reference.  The streaming pipeline's
+    ``DelayConsumer`` keeps only per-second delay sums and counts and
+    bins them with ``bin_by_utilization(..., counts=...)``; the
+    equivalence suite pins the two to the same bins and counts.
+    """
     if len(deliveries) == 0:
         empty = BinnedSeries(
             np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)

@@ -28,6 +28,8 @@ from ..frames import FrameType, NodeRoster, Trace
 __all__ = [
     "UnrecordedEstimate",
     "estimate_unrecorded",
+    "missing_pair_table",
+    "pair_keys",
     "unrecorded_by_ap",
     "ap_table_from_counts",
 ]
@@ -37,17 +39,20 @@ __all__ = [
 class UnrecordedEstimate:
     """Counts of inferred-missing frames for one trace.
 
-    ``missing_data_src`` etc. record, for each inferred missing frame,
-    the node that must have transmitted it — used for per-AP attribution
-    (Figure 4c).
+    Inferred-missing DATA frames are tallied per (transmitter, receiver)
+    pair, for per-AP attribution (Figure 4c): ``missing_pair_count[i]``
+    frames from ``missing_pair_src[i]`` to ``missing_pair_dst[i]``,
+    pairs sorted by (src, dst).  The table grows with the node pairs
+    seen, not with the capture's length.
     """
 
     captured_frames: int
     missing_data: int
     missing_rts: int
     missing_cts: int
-    missing_data_src: np.ndarray
-    missing_data_dst: np.ndarray
+    missing_pair_src: np.ndarray
+    missing_pair_dst: np.ndarray
+    missing_pair_count: np.ndarray
 
     @property
     def total_missing(self) -> int:
@@ -61,6 +66,35 @@ class UnrecordedEstimate:
             return 0.0
         return 100.0 * self.total_missing / denom
 
+    def missing_data_at(self, node_ids: np.ndarray) -> np.ndarray:
+        """Missing DATA frames with each of ``node_ids`` as src or dst."""
+        src, dst, count = (
+            self.missing_pair_src, self.missing_pair_dst, self.missing_pair_count
+        )
+        return np.array(
+            [count[(src == n) | (dst == n)].sum() for n in node_ids], dtype=np.int64
+        )
+
+
+def pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One int64 key per (src, dst) node pair, ordered by (src, dst).
+
+    Node ids are 16-bit, so the key is ``src << 16 | dst``.
+    """
+    return (np.asarray(src, dtype=np.int64) << 16) | np.asarray(dst, dtype=np.int64)
+
+
+def missing_pair_table(
+    keys: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct pairs of ``keys`` as sorted (src, dst, total weight).
+
+    ``weights`` default to one per key occurrence.
+    """
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inverse, weights=weights, minlength=len(pairs))
+    return pairs >> 16, pairs & 0xFFFF, counts.astype(np.int64)
+
 
 def estimate_unrecorded(trace: Trace) -> UnrecordedEstimate:
     """Apply the three atomicity rules to a time-sorted trace."""
@@ -73,7 +107,7 @@ def estimate_unrecorded(trace: Trace) -> UnrecordedEstimate:
 
     if n < 2:
         empty = np.empty(0, dtype=np.int64)
-        return UnrecordedEstimate(n, 0, 0, 0, empty, empty)
+        return UnrecordedEstimate(n, 0, 0, 0, empty, empty, empty)
 
     prev_type = ftype[:-1]
     cur_type = ftype[1:]
@@ -114,13 +148,17 @@ def estimate_unrecorded(trace: Trace) -> UnrecordedEstimate:
     )
     missing_cts = int(np.count_nonzero(is_rts & next_is_same_flow_data))
 
+    pair_src, pair_dst, pair_count = missing_pair_table(
+        pair_keys(missing_data_src, missing_data_dst)
+    )
     return UnrecordedEstimate(
         captured_frames=n,
         missing_data=len(missing_data_src),
         missing_rts=missing_rts,
         missing_cts=missing_cts,
-        missing_data_src=missing_data_src,
-        missing_data_dst=missing_data_dst,
+        missing_pair_src=pair_src,
+        missing_pair_dst=pair_dst,
+        missing_pair_count=pair_count,
     )
 
 
@@ -151,18 +189,13 @@ def unrecorded_by_ap(
         )
 
     captured = np.zeros(len(ap_ids), dtype=np.int64)
-    missing = np.zeros(len(ap_ids), dtype=np.int64)
     src = trace.src.astype(np.int64)
     dst = trace.dst.astype(np.int64)
     for i, ap in enumerate(ap_ids):
         captured[i] = int(np.count_nonzero((src == ap) | (dst == ap)))
-        missing[i] = int(
-            np.count_nonzero(
-                (estimate.missing_data_src == ap)
-                | (estimate.missing_data_dst == ap)
-            )
-        )
-    return ap_table_from_counts(ap_ids, captured, missing, top_n)
+    return ap_table_from_counts(
+        ap_ids, captured, estimate.missing_data_at(ap_ids), top_n
+    )
 
 
 def ap_table_from_counts(

@@ -55,13 +55,16 @@ class SecondAccumulator:
         if len(seconds) == 0:
             return
         seconds = np.asarray(seconds, dtype=np.int64)
+        if seconds.min() < 0:
+            raise ValueError("second indices must be non-negative")
         if cols is None:
             flat = seconds * self._width
         else:
             flat = seconds * self._width + np.asarray(cols, dtype=np.int64)
-        binned = np.bincount(flat, weights=weights)
-        self._ensure(len(binned))
-        self._flat[: len(binned)] += binned
+        # Scatter-add in place: the cost follows the chunk's size, not
+        # how many seconds the stream already holds.
+        self._ensure(int(flat.max()) + 1)
+        np.add.at(self._flat, flat, 1.0 if weights is None else weights)
 
     def totals(self, n_seconds: int) -> np.ndarray:
         """The accumulated table, padded/truncated to ``n_seconds``.

@@ -8,20 +8,25 @@ Each consumer adapts one paper analysis to the single-pass protocol:
   ``repro.core`` function returns.
 
 Equivalence with the batch functions is a hard contract (verified by
-``tests/pipeline/test_equivalence.py``): consumers accumulate the same
-per-second / per-delivery quantities the core computes, and share the
-core's own rule and finalization helpers (``ack_match_pairs``,
-``control_frame_mask``, ``CHAIN_TIMEOUT_US``, ``bin_by_utilization``,
-``bin_deliveries``, ``fit_curves``, ``ranking_from_counts``,
-``ap_table_from_counts``) so the rules live in one place.  The one
-remaining intentional restatement is the chunk-carrying form of the
-§4.4 atomicity rules in :class:`UnrecordedConsumer` and the retry-chain
-loop in :class:`DelayConsumer`; the equivalence tests pin both to the
-core, with dedicated chunk-boundary cases.
+``tests/pipeline/test_equivalence.py``): consumers accumulate per-second
+sums (per-interval and per-node-pair for the Figure 4 census and §4.4
+attribution) that are sufficient statistics for what the core computes,
+and share the core's own rule and finalization helpers
+(``ack_match_pairs``, ``control_frame_mask``, ``CHAIN_TIMEOUT_US``,
+``bin_by_utilization``, ``fit_curves``, ``ranking_from_counts``,
+``missing_pair_table``, ``ap_table_from_counts``) so the rules live in
+one place.  No consumer keeps per-frame or per-delivery history, so
+state — and :meth:`PipelineExecutor.snapshot` — grows with the seconds
+covered, not the frames fed (``tests/pipeline/test_snapshot_state.py``).
+The one remaining intentional restatement is the chunk-carrying form of
+the §4.4 atomicity rules in :class:`UnrecordedConsumer` and the
+retry-chain loop in :class:`DelayConsumer`; the equivalence tests pin
+both to the core, with dedicated chunk-boundary cases.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,19 +40,18 @@ from ..core.congestion import (
     CongestionLevel,
     CongestionThresholds,
 )
-from ..core.delay import (
-    CHAIN_TIMEOUT_US,
-    FIGURE15_CATEGORIES,
-    AcceptanceDelays,
-    DelaySeries,
-    bin_deliveries,
-)
+from ..core.delay import CHAIN_TIMEOUT_US, FIGURE15_CATEGORIES, DelaySeries
 from ..core.rate_share import RateShareSeries
 from ..core.reception import ReceptionSeries
 from ..core.rts_cts import RtsCtsSeries
 from ..core.throughput import ThroughputSeries, control_frame_mask, frame_bits
 from ..core.transmissions import CategoryCounts
-from ..core.unrecorded import UnrecordedEstimate, ap_table_from_counts
+from ..core.unrecorded import (
+    UnrecordedEstimate,
+    ap_table_from_counts,
+    missing_pair_table,
+    pair_keys,
+)
 from ..frames import DOT11_RATES_MBPS, FrameType
 from .accumulate import SecondAccumulator
 from .registry import register_consumer
@@ -384,7 +388,14 @@ class DelayConsumer(Consumer):
     """Figure 15 acceptance delays (``acceptance_delay_vs_utilization``).
 
     Retry chains are keyed by (src, dst, seq); the chain table persists
-    across chunks, so chunking never splits a delivery.
+    across chunks, so chunking never splits a delivery.  Each delivery
+    in a reported category is folded into per-second delay sums and
+    counts, keyed by its first-attempt second and category — the
+    figure's per-bin mean is Σsum / Σcount, so no per-delivery history
+    is kept.  Chains older than ``CHAIN_TIMEOUT_US`` behind the newest
+    frame can never be extended again (the next frame with their key
+    restarts them), so they are pruned once per timeout of stream time:
+    the table holds at most two timeouts' worth of chains.
     """
 
     name = "delays"
@@ -395,11 +406,15 @@ class DelayConsumer(Consumer):
         self.categories = categories
 
     def start(self, ctx: StreamContext) -> None:
+        self._ctx = ctx  # start_us is filled in before the first chunk
         self._open_chains: dict[int, int] = {}
-        self._firsts: list[int] = []
-        self._delays: list[float] = []
-        self._sizes: list[int] = []
-        self._rates: list[int] = []
+        self._prune_due_us = 0
+        # Table column per rate_code * 4 + size_class; -1 = not reported.
+        self._column = np.full(16, -1, dtype=np.int64)
+        for i, cat in enumerate(self.categories):
+            self._column[cat.rate_code * 4 + int(cat.size_class)] = i
+        self._delay_sum = SecondAccumulator(width=len(self.categories))
+        self._deliveries = SecondAccumulator(width=len(self.categories))
 
     def consume(self, chunk: Chunk) -> None:
         trace = chunk.trace
@@ -410,9 +425,14 @@ class DelayConsumer(Consumer):
         retry = trace.retry
         acked = chunk.acked
         ack_time = chunk.ack_time_us
-        size = trace.size
-        rate_code = trace.rate_code
+        column = self._column[
+            trace.rate_code.astype(np.int64) * 4 + trace.size_class
+        ].tolist()
+        start_us = int(self._ctx.start_us)
         chains = self._open_chains
+        seconds: list[int] = []
+        cols: list[int] = []
+        delays: list[int] = []
         for row in np.nonzero(chunk.is_data)[0]:
             k = int(key[row])
             now = int(time_us[row])
@@ -421,21 +441,33 @@ class DelayConsumer(Consumer):
                 chains[k] = now
             if acked[row]:
                 t0 = chains.pop(k)
-                self._delays.append(float(int(ack_time[row]) - t0))
-                self._firsts.append(t0)
-                self._sizes.append(int(size[row]))
-                self._rates.append(int(rate_code[row]))
+                if column[row] >= 0:
+                    seconds.append((t0 - start_us) // 1_000_000)
+                    cols.append(column[row])
+                    delays.append(int(ack_time[row]) - t0)
+        if seconds:
+            delay_us = np.array(delays, dtype=np.float64)
+            self._delay_sum.add(seconds, weights=delay_us, cols=cols)
+            self._deliveries.add(seconds, cols=cols)
+        newest = int(time_us[-1])
+        if newest >= self._prune_due_us:
+            cutoff = newest - CHAIN_TIMEOUT_US
+            self._open_chains = {k: t for k, t in chains.items() if t >= cutoff}
+            self._prune_due_us = newest + CHAIN_TIMEOUT_US
 
     def finalize(self, ctx: StreamContext, deps) -> DelaySeries:
-        deliveries = AcceptanceDelays(
-            first_attempt_us=np.array(self._firsts, dtype=np.int64),
-            delay_us=np.array(self._delays, dtype=np.float64),
-            size=np.array(self._sizes, dtype=np.int64),
-            rate_code=np.array(self._rates, dtype=np.int64),
-        )
-        return bin_deliveries(
-            deliveries, ctx.utilization, self.categories, ctx.min_count
-        )
+        util = ctx.utilization
+        sums = self._delay_sum.totals(len(util)) / 1e6  # seconds
+        counts = self._deliveries.totals(len(util))
+        out = {}
+        for i, cat in enumerate(self.categories):
+            out[cat.name] = bin_by_utilization(
+                util.percent,
+                sums[:, i],
+                min_count=ctx.min_count,
+                counts=counts[:, i],
+            )
+        return DelaySeries(per_category=out)
 
 
 @register_consumer("unrecorded")
@@ -444,7 +476,8 @@ class UnrecordedConsumer(Consumer):
 
     The three DCF atomicity rules inspect consecutive frame pairs; the
     consumer carries the last frame of each chunk so pairs straddling a
-    chunk boundary are judged exactly once.
+    chunk boundary are judged exactly once.  Missing DATA frames are
+    tallied per (src, dst) pair, merged chunk by chunk.
     """
 
     name = "unrecorded"
@@ -455,8 +488,7 @@ class UnrecordedConsumer(Consumer):
         self._total = 0
         self._missing_rts = 0
         self._missing_cts = 0
-        self._missing_src: list[np.ndarray] = []
-        self._missing_dst: list[np.ndarray] = []
+        self._missing_data: Counter[int] = Counter()  # pair key -> frames
         self._carry: tuple[int, int, int] | None = None  # (ftype, src, dst)
 
     def consume(self, chunk: Chunk) -> None:
@@ -469,8 +501,7 @@ class UnrecordedConsumer(Consumer):
             # Very first frame of the stream: an opening ACK or CTS
             # implies a predecessor the sniffer never recorded.
             if ftype[0] == int(FrameType.ACK):
-                self._missing_src.append(np.array([dst[0]]))
-                self._missing_dst.append(np.array([src[0]]))
+                self._missing_data.update(pair_keys(dst[:1], src[:1]).tolist())
             if ftype[0] == int(FrameType.CTS):
                 self._missing_rts += 1
             prev_type, prev_src, prev_dst = ftype[:-1], src[:-1], dst[:-1]
@@ -486,8 +517,9 @@ class UnrecordedConsumer(Consumer):
         lone_ack = (cur_type == int(FrameType.ACK)) & ~(
             (prev_type == int(FrameType.DATA)) & (prev_src == cur_dst)
         )
-        self._missing_src.append(cur_dst[lone_ack])
-        self._missing_dst.append(cur_src[lone_ack])
+        self._missing_data.update(
+            pair_keys(cur_dst[lone_ack], cur_src[lone_ack]).tolist()
+        )
 
         # RTS-CTS: a CTS not preceded by its RTS implies a missing RTS.
         lone_cts = (cur_type == int(FrameType.CTS)) & ~(
@@ -511,24 +543,16 @@ class UnrecordedConsumer(Consumer):
     def finalize(self, ctx: StreamContext, deps) -> UnrecordedEstimate:
         if self._total < 2:  # the core's degenerate-trace rule
             empty = np.empty(0, dtype=np.int64)
-            return UnrecordedEstimate(self._total, 0, 0, 0, empty, empty)
-        missing_src = (
-            np.concatenate(self._missing_src)
-            if self._missing_src
-            else np.empty(0, dtype=np.int64)
-        )
-        missing_dst = (
-            np.concatenate(self._missing_dst)
-            if self._missing_dst
-            else np.empty(0, dtype=np.int64)
-        )
+            return UnrecordedEstimate(self._total, 0, 0, 0, empty, empty, empty)
+        n_pairs = len(self._missing_data)
+        keys = np.fromiter(self._missing_data.keys(), np.int64, n_pairs)
+        counts = np.fromiter(self._missing_data.values(), np.int64, n_pairs)
         return UnrecordedEstimate(
-            captured_frames=self._total,
-            missing_data=len(missing_src),
-            missing_rts=self._missing_rts,
-            missing_cts=self._missing_cts,
-            missing_data_src=missing_src.astype(np.int64),
-            missing_data_dst=missing_dst.astype(np.int64),
+            self._total,
+            int(counts.sum()),
+            self._missing_rts,
+            self._missing_cts,
+            *missing_pair_table(keys, counts),
         )
 
 
@@ -590,24 +614,18 @@ class UnrecordedByApConsumer(_RosterConsumer):
             )
         )
         captured = np.array([by_ap.get(int(ap), 0) for ap in ap_ids], dtype=np.int64)
-        missing = np.array(
-            [
-                int(
-                    np.count_nonzero(
-                        (estimate.missing_data_src == ap)
-                        | (estimate.missing_data_dst == ap)
-                    )
-                )
-                for ap in ap_ids
-            ],
-            dtype=np.int64,
+        return ap_table_from_counts(
+            ap_ids, captured, estimate.missing_data_at(ap_ids), self.top_n
         )
-        return ap_table_from_counts(ap_ids, captured, missing, self.top_n)
 
 
 @register_consumer("user_series")
 class UserSeriesConsumer(_RosterConsumer):
-    """Figure 4b active-user census (``user_association_series``)."""
+    """Figure 4b active-user census (``user_association_series``).
+
+    Time-sorted input means intervals only advance: a station set is
+    kept for the open interval alone, beside one user count per interval.
+    """
 
     name = "user_series"
     needs_ack_match = False
@@ -621,7 +639,9 @@ class UserSeriesConsumer(_RosterConsumer):
         self._ctx = ctx  # start_us is filled in before the first chunk
         self._ap_set = np.array(ctx.roster.ap_ids, dtype=np.int64)
         self._station_set = np.array(ctx.roster.station_ids, dtype=np.int64)
-        self._seen: set[tuple[int, int]] = set()
+        self._users: dict[int, int] = {}  # interval -> distinct stations
+        self._open_interval = -1
+        self._open_stations: set[int] = set()
         self._max_interval = -1
 
     def consume(self, chunk: Chunk) -> None:
@@ -639,11 +659,11 @@ class UserSeriesConsumer(_RosterConsumer):
         ).astype(np.int64)
         self._max_interval = max(self._max_interval, int(interval[-1]))
         valid = station >= 0
-        if np.any(valid):
-            pairs = np.unique(
-                np.stack([interval[valid], station[valid]], axis=1), axis=0
-            )
-            self._seen.update((int(a), int(b)) for a, b in pairs)
+        for iv in np.unique(interval[valid]).tolist():
+            if iv != self._open_interval:
+                self._open_interval, self._open_stations = iv, set()
+            self._open_stations.update(station[valid & (interval == iv)].tolist())
+            self._users[iv] = len(self._open_stations)
 
     def finalize(self, ctx: StreamContext, deps) -> ColumnTable:
         if self._max_interval < 0:
@@ -655,9 +675,7 @@ class UserSeriesConsumer(_RosterConsumer):
             )
         n_intervals = self._max_interval + 1
         users = np.zeros(n_intervals, dtype=np.int64)
-        for interval, _station in self._seen:
-            if 0 <= interval < n_intervals:
-                users[interval] += 1
+        users[list(self._users)] = list(self._users.values())
         return ColumnTable(
             {"interval": np.arange(n_intervals), "users": users}
         )

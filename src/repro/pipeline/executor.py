@@ -127,7 +127,9 @@ class PipelineExecutor:
     ``PipelineExecutor(...).run(iter([c1, ..., ck]))`` field for field
     (one segment is always held back for DATA-ACK lookahead across the
     boundary; ``snapshot`` folds it in on a deep-copied state so the
-    live pass is never disturbed).
+    live pass is never disturbed).  Consumers keep aggregate state
+    (per-second sums, not per-frame history), so that copy costs the
+    same after a million frames as after ten thousand.
     """
 
     def __init__(
@@ -218,7 +220,9 @@ class PipelineExecutor:
         lookahead segment) is deep-copied and the copy is closed, so
         feeding may continue afterwards; a snapshot at stream position
         *k* equals :meth:`run` over the first *k* segments exactly.
-        After :meth:`close` this returns the final results.
+        The copy is O(aggregate state) — seconds, intervals and node
+        pairs seen, plus one segment — not O(frames fed).  After
+        :meth:`close` this returns the final results.
         """
         if self.closed:
             return self._results

@@ -2,10 +2,55 @@
 
 from __future__ import annotations
 
+import subprocess
+from pathlib import Path
+
 import pytest
 
 from repro.frames import BROADCAST, FrameRow, FrameType, NodeInfo, NodeRoster, Trace
 from repro.sim import ConstantRate, ScenarioConfig, run_scenario
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _untracked_paths() -> set[str] | None:
+    """Untracked, unignored paths in the checkout (None outside git)."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=all"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if out.returncode != 0:
+        return None
+    return {line[3:] for line in out.stdout.splitlines() if line.startswith("?? ")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_stray_files(tmp_path_factory):
+    """Fail the session if tests leave new untracked files in the tree.
+
+    Files under pytest's own temporary directories do not count, and
+    the guard is skipped when the tree is not a git checkout.
+    """
+    before = _untracked_paths()
+    yield
+    if before is None:
+        return
+    after = _untracked_paths() or set()
+    basetemp = tmp_path_factory.getbasetemp().resolve()
+    stray = sorted(
+        path
+        for path in after - before
+        if not (REPO_ROOT / path).resolve().is_relative_to(basetemp)
+    )
+    if stray:
+        pytest.fail(f"tests left untracked files in the tree: {stray}")
 
 
 def data(t, src, dst, size=1000, rate=11.0, retry=False, seq=0, channel=1, snr=25.0):

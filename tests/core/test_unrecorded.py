@@ -13,8 +13,19 @@ class TestDataAckRule:
         trace = Trace.from_rows([beacon(0, 1), ack(1000, 1, 10)])
         est = estimate_unrecorded(trace)
         assert est.missing_data == 1
-        assert list(est.missing_data_src) == [10]  # ACK dst = data sender
-        assert list(est.missing_data_dst) == [1]
+        assert list(est.missing_pair_src) == [10]  # ACK dst = data sender
+        assert list(est.missing_pair_dst) == [1]
+        assert list(est.missing_pair_count) == [1]
+
+    def test_missing_frames_tallied_per_pair(self):
+        trace = Trace.from_rows(
+            [beacon(0, 1), ack(1000, 1, 10), ack(2000, 1, 10), ack(3000, 1, 11)]
+        )
+        est = estimate_unrecorded(trace)
+        assert est.missing_data == 3
+        assert list(est.missing_pair_src) == [10, 11]
+        assert list(est.missing_pair_dst) == [1, 1]
+        assert list(est.missing_pair_count) == [2, 1]
 
     def test_matched_pair_not_missing(self):
         trace = Trace.from_rows([data(0, 10, 1), ack(1000, 1, 10)])

@@ -8,7 +8,8 @@ DATA-ACK pairs, retry chains and one-second intervals.
 import numpy as np
 import pytest
 
-from repro.core import analyze_trace
+from repro.core import acceptance_delays, analyze_trace
+from repro.core.delay import CHAIN_TIMEOUT_US
 from repro.frames import Trace
 from repro.pipeline import run_all, trace_chunks
 
@@ -57,8 +58,9 @@ def assert_reports_equal(a, b):
     assert ua.missing_data == ub.missing_data
     assert ua.missing_rts == ub.missing_rts
     assert ua.missing_cts == ub.missing_cts
-    assert np.array_equal(ua.missing_data_src, ub.missing_data_src)
-    assert np.array_equal(ua.missing_data_dst, ub.missing_data_dst)
+    assert np.array_equal(ua.missing_pair_src, ub.missing_pair_src)
+    assert np.array_equal(ua.missing_pair_dst, ub.missing_pair_dst)
+    assert np.array_equal(ua.missing_pair_count, ub.missing_pair_count)
     for attr in ("ap_activity", "unrecorded_per_ap", "user_series"):
         assert (getattr(a, attr) is None) == (getattr(b, attr) is None), attr
     if a.ap_activity is not None:
@@ -97,14 +99,62 @@ def test_run_all_matches_analyze_trace(small_scenario, chunk_frames):
     assert batch.headline() == streamed.headline()
 
 
-@pytest.mark.parametrize("chunk_frames", [1, 2, 3, 100])
-def test_tiny_exchange_trace(exchange_trace, tiny_roster, chunk_frames):
-    """Chunk sizes down to one frame: boundary pairs must still match."""
-    batch = analyze_trace(exchange_trace, tiny_roster, name="tiny")
-    streamed = run_all(
-        exchange_trace, tiny_roster, name="tiny", chunk_frames=chunk_frames
-    )
+def _chain_trace(attempts_us):
+    """One XL-1 delivery attempted at ``attempts_us`` (retries after the
+    first) and ACKed 12 ms after the last attempt, over beacons every
+    0.25 s.  The beacons land on every multiple of ``CHAIN_TIMEOUT_US``,
+    so a streaming consumer that prunes once per timeout of stream time
+    prunes exactly one timeout after a chain opened at t=0."""
+    last = attempts_us[-1]
+    rows = [beacon(t, src=1) for t in range(0, last + 1, 250_000)]
+    rows += [
+        data(t, src=10, dst=1, size=1400, rate=1.0, seq=7, retry=i > 0)
+        for i, t in enumerate(attempts_us)
+    ]
+    rows.append(ack(last + 12_000, src=1, dst=10))
+    return Trace.from_rows(rows).sorted_by_time()
+
+
+_T = CHAIN_TIMEOUT_US
+
+#: Retry-chain timeout edge cases: trace and its one delivery's delay.
+CHAIN_CASES = {
+    # A retry exactly one timeout after the first attempt extends it.
+    "retry_at_timeout": (_chain_trace([0, _T]), _T + 12_000),
+    # One microsecond later the retry starts a fresh chain.
+    "retry_after_timeout": (_chain_trace([0, _T + 1]), 12_000),
+    # Open across more than two timeouts of traffic before its ACK:
+    # the retry at 0.9 T extends it, the one at 2.2 T restarts it.
+    "long_open_chain": (
+        _chain_trace([0, _T * 9 // 10, _T * 22 // 10, _T * 27 // 10]),
+        _T * 5 // 10 + 12_000,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, chunk_frames",
+    [
+        # The exchange trace keeps the bare chunk size as its id.
+        pytest.param(case, n, id=str(n) if case is None else f"{case}-{n}")
+        for case in [None, *CHAIN_CASES]
+        for n in (1, 2, 3, 100)
+    ],
+)
+def test_tiny_exchange_trace(exchange_trace, tiny_roster, case, chunk_frames):
+    """Chunk sizes down to one frame: boundary pairs and retry-chain
+    timeout edges (``case``; None is the exchange trace) must match."""
+    trace = exchange_trace if case is None else CHAIN_CASES[case][0]
+    batch = analyze_trace(trace, tiny_roster, name="tiny")
+    streamed = run_all(trace, tiny_roster, name="tiny", chunk_frames=chunk_frames)
     assert_reports_equal(batch, streamed)
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_chain_case_delays(case):
+    """Each timeout edge case measures the delay it was built for."""
+    trace, delay_us = CHAIN_CASES[case]
+    assert acceptance_delays(trace).delay_us.tolist() == [delay_us]
 
 
 def test_without_roster(small_scenario):

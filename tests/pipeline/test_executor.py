@@ -71,6 +71,11 @@ class TestSecondAccumulator:
         assert len(acc.totals(3)) == 3
         assert acc.totals(10)[7] == 1.0
 
+    def test_negative_second_rejected(self):
+        acc = SecondAccumulator()
+        with pytest.raises(ValueError, match="non-negative"):
+            acc.add(np.array([0, -1]))
+
 
 class TestRegistry:
     def test_default_consumers_registered(self):

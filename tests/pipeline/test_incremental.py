@@ -27,7 +27,7 @@ from repro.pipeline import (
 from repro.sim import available_scenarios, build_scenario
 
 from ..conftest import data
-from .test_equivalence import assert_reports_equal
+from .test_equivalence import CHAIN_CASES, assert_reports_equal
 
 
 def make_executor(roster=None, name="inc"):
@@ -70,10 +70,12 @@ def test_pcap_file_prefixwise(small_scenario, tmp_path):
 
 
 def test_one_frame_chunks(exchange_trace, tiny_roster):
-    """Degenerate chunking: one frame per feed() still matches batch."""
-    chunks = list(trace_chunks(exchange_trace, chunk_frames=1))
-    assert all(len(c) == 1 for c in chunks)
-    assert_prefix_equivalence(chunks, tiny_roster)
+    """Degenerate chunking: one frame per feed() still matches batch, on
+    the exchange trace and on every retry-chain timeout edge case."""
+    for trace in [exchange_trace] + [t for t, _ in CHAIN_CASES.values()]:
+        chunks = list(trace_chunks(trace, chunk_frames=1))
+        assert all(len(c) == 1 for c in chunks)
+        assert_prefix_equivalence(chunks, tiny_roster)
 
 
 def test_close_matches_analyze_trace(small_scenario):
